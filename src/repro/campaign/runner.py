@@ -281,7 +281,6 @@ def _execute_shard(
     root: str,
     warm_document: Optional[Dict[str, Any]] = None,
     on_unit: Optional[Callable[[str, Dict[str, Any]], None]] = None,
-    warm_model: Optional[WarmStartModel] = None,
 ) -> List[Tuple[str, Dict[str, Any]]]:
     """Run one die's units back to back (the worker-side entry point).
 
@@ -299,11 +298,7 @@ def _execute_shard(
     cache: Optional[EvalCache] = None
     if adaptive and units:
         cache = store.load_eval_cache(units[0].platform, units[0].serial)
-    if warm_model is not None:
-        # In-process callers (the serial path) share one live model, so
-        # every die after the first starts from the population so far.
-        warm = warm_model
-    elif warm_document is not None:
+    if warm_document is not None:
         warm = WarmStartModel.from_dict(warm_document)
     else:
         warm = WarmStartModel(step_v=DEFAULT_STEP_V)
@@ -513,44 +508,43 @@ def run_campaign(
     warm_starting = spec.search == "adaptive" and spec.sweep == "guardband"
     warm = warm_model_from_store(store, spec) if warm_starting else None
 
+    if serial:
+        n_workers = 1
+        scheduler = "serial"
+    else:
+        n_workers = min(max_workers, len(shards))
+    # Serial and parallel runs walk the same plan: scouts first, then the
+    # rest seeded from a snapshot of the store, so warm-start state (and
+    # the evaluation count) depends only on the spec and the store.
+    waves = _scout_waves(shards, warm) if warm is not None else [shards]
+    # In process, every unit is reported as it finishes; workers report
+    # whole shards when they resolve.
+    on_unit = (
+        (lambda unit_id, doc: _record([(unit_id, doc)])) if serial else None
+    )
     with obs_trace.span(
         "campaign.run", name=spec.name, sweep=spec.sweep, search=spec.search
     ):
-        if serial:
-            n_workers = 1
-            scheduler = "serial"
-            # One live warm model, shared across shards: every die after the
-            # first of its platform starts from the population so far (each
-            # shard's _run_guardband feeds its thresholds back via warm.add).
-            for shard in shards:
-                _execute_shard(
-                    shard,
-                    spec.name,
-                    str(root),
-                    on_unit=lambda unit_id, doc: _record([(unit_id, doc)]),
-                    warm_model=warm,
-                )
-        else:
-            n_workers = min(max_workers, len(shards))
-            waves = _scout_waves(shards, warm) if warm is not None else [shards]
-            # One worker pool for the whole run: the context manager keeps it
-            # alive across the scout and warm waves.
-            with WorkScheduler(scheduler=scheduler, jobs=n_workers) as work:
-                for wave_index, wave in enumerate(waves):
-                    if warm_starting and wave_index > 0:
-                        warm = warm_model_from_store(store, spec)
-                    warm_document = warm.to_dict() if warm is not None else None
-                    with obs_trace.span(
-                        "campaign.wave", wave=wave_index, n_shards=len(wave)
-                    ):
-                        work.map_tasks(
-                            _execute_shard,
-                            [
-                                (shard, spec.name, str(root), warm_document)
-                                for shard in wave
-                            ],
-                            on_result=lambda _index, results: _record(results),
-                        )
+        # One worker pool for the whole run: the context manager keeps it
+        # alive across the scout and warm waves.
+        with WorkScheduler(scheduler=scheduler, jobs=n_workers) as work:
+            for wave_index, wave in enumerate(waves):
+                if warm_starting and wave_index > 0:
+                    warm = warm_model_from_store(store, spec)
+                warm_document = warm.to_dict() if warm is not None else None
+                with obs_trace.span(
+                    "campaign.wave", wave=wave_index, n_shards=len(wave)
+                ):
+                    work.map_tasks(
+                        _execute_shard,
+                        [
+                            (shard, spec.name, str(root), warm_document, on_unit)
+                            for shard in wave
+                        ],
+                        on_result=None if serial else (
+                            lambda _index, results: _record(results)
+                        ),
+                    )
 
     bundle_file: Optional[str] = None
     if spec.governor_bundle and store.status(spec).is_complete:
@@ -559,11 +553,13 @@ def run_campaign(
 
         bundle_file = str(write_governor_bundle(store, spec))
 
+    # Report executed units in plan order, not worker completion order.
+    plan_order = {unit.unit_id: index for index, unit in enumerate(pending)}
     return CampaignRunReport(
         name=spec.name,
         spec_hash=spec.spec_hash,
         n_units=len(all_units),
-        executed=tuple(executed),
+        executed=tuple(sorted(executed, key=plan_order.__getitem__)),
         skipped=skipped,
         n_workers=n_workers,
         search=spec.search,

@@ -177,11 +177,19 @@ class SyntheticFleet:
 # ----------------------------------------------------------------------
 # Vectorized policy arithmetic (same constants as repro.runtime.governor)
 # ----------------------------------------------------------------------
+def _ceil_level(volts: np.ndarray) -> np.ndarray:
+    """Integer millivolt level a voltage quantizes *up* to."""
+    return np.ceil(volts / RESOLUTION_V - 1e-9).astype(np.int64)
+
+
+def _grid_volts(levels: np.ndarray) -> np.ndarray:
+    """Setpoint voltages of integer millivolt levels (the quantizer's floats)."""
+    return np.round(levels * RESOLUTION_V, 6)
+
+
 def _ceil_to_resolution_vec(volts: np.ndarray) -> np.ndarray:
     """Vectorized twin of :func:`repro.runtime.governor.ceil_to_resolution`."""
-    return np.round(
-        np.ceil(volts / RESOLUTION_V - 1e-9) * RESOLUTION_V, 6
-    )
+    return _grid_volts(_ceil_level(volts))
 
 
 def _clamp_vec(fleet: SyntheticFleet, volts: np.ndarray) -> np.ndarray:
@@ -222,6 +230,50 @@ def _power_index(volts: np.ndarray) -> np.ndarray:
     return (
         np.round(np.asarray(volts) * 1000.0).astype(np.int64) - _GRID_MIN_MV
     )
+
+
+@dataclass(frozen=True)
+class _ReactiveSteps:
+    """The reactive controller's constants, shared by both engines.
+
+    ``backoff_v``/``probe_v`` are the policy's float steps (what the stepped
+    loop adds to its float target); ``backoff_mv``/``probe_mv`` are the same
+    steps on the regulator's millivolt grid (what the event engine adds to
+    its integer level).  The two agree only because both steps are whole
+    multiples of :data:`RESOLUTION_V`, so :func:`_reactive_steps` refuses any
+    policy where they are not.
+    """
+
+    backoff_v: float
+    probe_v: float
+    hold_steps: int
+    backoff_mv: int
+    probe_mv: int
+
+
+def _reactive_steps(policy: ReactiveBackoffPolicy) -> _ReactiveSteps:
+    """Derive the shared controller constants from a reactive policy."""
+    steps = {}
+    for name in ("backoff_v", "probe_v"):
+        volts = getattr(policy, name)
+        ratio = volts / RESOLUTION_V
+        if abs(ratio - round(ratio)) > 1e-10:
+            raise FleetScaleError(
+                f"reactive {name}={volts!r} is not a whole multiple of the "
+                f"{RESOLUTION_V} V regulator resolution"
+            )
+        steps[name] = int(round(ratio))
+    return _ReactiveSteps(
+        backoff_v=policy.backoff_v,
+        probe_v=policy.probe_v,
+        hold_steps=int(policy.hold_steps),
+        backoff_mv=steps["backoff_v"],
+        probe_mv=steps["probe_v"],
+    )
+
+
+#: The population engines simulate the default reactive controller.
+_REACTIVE = _reactive_steps(ReactiveBackoffPolicy())
 
 
 @dataclass
@@ -364,71 +416,156 @@ def _reactive_shard(
     recovery_steps: int,
     temps: np.ndarray,
 ) -> ShardTimeline:
-    """Event engine for the reactive policy: per-step, vectorized over dies.
+    """Event engine for the reactive policy: each die wakes at its next event.
 
-    The reactive controller's state can change at every step (fault
-    backoff, clean-hold creep), so its event density *is* the step grid;
-    the engine vectorizes the die axis instead — the same additive
-    controller arithmetic as :class:`ReactiveBackoffPolicy`, element-wise.
+    Every float target the per-step controller carries is
+    ``min(1, max(floor, round(k * 1 mV)))`` for an integer ``k``, and the
+    clamp floor ``vcrash + 0.020`` may sit off the millivolt grid.  So the
+    engine keeps each die's target as an integer *level*: ``k`` for a grid
+    point, and ``kF - 1`` for the floor itself, where ``kF`` is the first
+    grid point above the floor.  Grid levels move by whole-millivolt steps.
+    The floor level moves to successors computed once per die from the
+    floor's float.  A die's state can change only at:
+
+    * its recovery step (the controller restarts from ``Vmin``);
+    * the step after a fault (back off);
+    * its creep step (the clean counter reaches the hold);
+    * a temperature-window edge (the fault test's ITD shift moves);
+    * the step after it lands on an off-grid floor (the next clean step
+      rounds the floor up to ``kF``).
+
+    Each step therefore touches only the dies that have an event, and a
+    window edge runs one fault comparison over the live dies.  On every
+    other step a die just counts clean steps.  Energy keeps one per-die
+    power term, changed only at events and added whole once per step: the
+    per-step loop's float summation order.  The actuation, crash and fault
+    tests compare the same floats as :func:`_stepped_shard`, so the two
+    engines agree bit for bit.
     """
-    defaults = ReactiveBackoffPolicy()
-    backoff, probe, hold = defaults.backoff_v, defaults.probe_v, defaults.hold_steps
+    hold = _REACTIVE.hold_steps
     n = fleet.n_dies
     n_steps = trace.n_steps
     table = _power_table(fleet)
     dt = trace.step_seconds
     shift_path = fleet.itd_v_per_degc * (temps - fleet.reference_c)
+    threshold = fleet.max_threshold_v
+    crash_below = fleet.true_vcrash_v - 1e-9
+    top_level = int(round(NOMINAL_V / RESOLUTION_V))
+
+    # The clamp floor on the level axis: a level at or below floor_level
+    # means "target = floor_v".  Above NOMINAL_V the clamp pins every
+    # target to nominal, which the same arithmetic yields from a floor of
+    # exactly NOMINAL_V.
+    floor_v = np.minimum(NOMINAL_V, fleet.vcrash_v + 0.020)
+    floor_level = np.floor(floor_v / RESOLUTION_V).astype(np.int64) - 3
+    for _ in range(4):
+        floor_level += _grid_volts(floor_level + 1) <= floor_v
+
+    def successors(volts: np.ndarray) -> np.ndarray:
+        # Unclamped next level from an off-grid float target, per update
+        # kind: 0 clean, 1 back off, 2 creep.
+        return np.stack(
+            [
+                _ceil_level(volts),
+                _ceil_level(volts + _REACTIVE.backoff_v),
+                _ceil_level(volts - _REACTIVE.probe_v),
+            ]
+        )
+
+    from_floor = successors(floor_v)
+    from_vmin = successors(fleet.vmin_v)  # a restarted controller
+    settles = from_floor[0] > floor_level
+    grid_delta = np.array(
+        [0, _REACTIVE.backoff_mv, -_REACTIVE.probe_mv], dtype=np.int64
+    )
 
     energy = np.zeros(n)
     crashed_steps = np.zeros(n, dtype=np.int64)
     fault_steps = np.zeros(n, dtype=np.int64)
     actuations = np.zeros(n, dtype=np.int64)
-    operational = np.zeros(n_steps, dtype=np.int64)
+    op_diff = np.zeros(n_steps + 1, dtype=np.int64)
     fault_active_counts = np.zeros(n_steps, dtype=np.int64)
 
-    target = fleet.vmin_v.copy()
-    clean = np.zeros(n)
+    level = np.full(n, top_level, dtype=np.int64)
+    # The clean counter as the step it last read zero: step - clean_from.
+    clean_from = np.zeros(n, dtype=np.int64)
     setpoint = np.full(n, NOMINAL_V)
     recover_at = np.zeros(n, dtype=np.int64)
     faults_prev = np.zeros(n, dtype=bool)
-    idx_nominal = _power_index(np.array([NOMINAL_V]))[0]
+    next_wake = np.zeros(n, dtype=np.int64)
+    term = table[_power_index(setpoint)] * dt
+    edge = np.zeros(n_steps, dtype=bool)
+    edge[1:] = shift_path[1:] != shift_path[:-1]
 
+    soonest = 0
     for step in range(n_steps):
-        down = recover_at > step
-        up = ~down
+        if step < soonest and not edge[step]:
+            energy += term
+            continue
+        shift = shift_path[step]
+        wake = next_wake == step
+        if edge[step]:
+            # Only the fault test can change for a live die without an
+            # event of its own; a new fault wakes it next step to back off.
+            hit = np.flatnonzero(
+                ~wake & (recover_at <= step) & (setpoint + shift < threshold)
+            )
+            fault_steps[hit] += 1
+            fault_active_counts[step] += hit.size
+            faults_prev[hit] = True
+            next_wake[hit] = step + 1
+        idx = np.flatnonzero(wake)
+        if idx.size:
+            # Controller update: restart, back off, creep or count.
+            fresh = recover_at[idx] == step
+            backing = faults_prev[idx] & ~fresh
+            held = np.where(backing, 0, step - clean_from[idx])
+            held[fresh] = 1
+            creeping = ~backing & (held >= hold)
+            held[creeping] = 0
+            kind = backing + 2 * creeping
+            floor_at = floor_level[idx]
+            old = level[idx]
+            raw = np.where(
+                old <= floor_at, from_floor[kind, idx], old + grid_delta[kind]
+            )
+            raw[fresh] = from_vmin[kind[fresh], idx[fresh]]
+            new = np.minimum(top_level, np.maximum(floor_at, raw))
+            on_floor = new == floor_at
+            target = np.where(on_floor, floor_v[idx], _grid_volts(new))
 
-        # Controller update (faults raise, clean holds creep down).
-        backing = up & faults_prev
-        target = np.where(backing, target + backoff, target)
-        clean = np.where(backing, 0.0, clean)
-        counting = up & ~faults_prev
-        clean = np.where(counting, clean + 1.0, clean)
-        creeping = counting & (clean >= hold)
-        target = np.where(creeping, target - probe, target)
-        clean = np.where(creeping, 0.0, clean)
-        target = np.where(up, _clamp_vec(fleet, _ceil_to_resolution_vec(target)), target)
+            # Actuate, then the crash and fault tests on the held setpoint.
+            volts = setpoint[idx]
+            moved = np.abs(target - volts) > 1e-9
+            actuations[idx] += moved
+            volts = np.where(moved, target, volts)
+            crash = volts < crash_below[idx]
+            faulting = ~crash & (volts + shift < threshold[idx])
+            volts[crash] = NOMINAL_V
 
-        moved = up & (np.abs(target - setpoint) > 1e-9)
-        actuations += moved
-        setpoint = np.where(moved, target, setpoint)
+            wake_at = np.where(
+                faulting | (on_floor & settles[idx]), step + 1,
+                step + hold - held,
+            )
+            down = idx[crash]
+            if down.size:
+                back_up = step + recovery_steps + 1
+                recover_at[down] = back_up
+                crashed_steps[down] += min(recovery_steps + 1, n_steps - step)
+                op_diff[step] -= down.size
+                op_diff[min(back_up, n_steps)] += down.size
+                wake_at[crash] = back_up
+            fault_steps[idx] += faulting
+            fault_active_counts[step] += int(np.count_nonzero(faulting))
 
-        crash = up & (setpoint < fleet.true_vcrash_v - 1e-9)
-        recover_at = np.where(crash, step + recovery_steps + 1, recover_at)
-        setpoint = np.where(crash, NOMINAL_V, setpoint)
-        # A power-cycled controller restarts from the characterized point.
-        target = np.where(crash, fleet.vmin_v, target)
-        clean = np.where(crash, 0.0, clean)
-
-        live = up & ~crash
-        faulting = live & (setpoint + shift_path[step] < fleet.max_threshold_v)
-        faults_prev = faulting
-        crashed = down | crash
-
-        operational[step] = int(np.count_nonzero(live))
-        fault_active_counts[step] = int(np.count_nonzero(faulting))
-        crashed_steps += crashed
-        fault_steps += faulting
-        energy += np.where(crashed, table[idx_nominal], table[_power_index(setpoint)]) * dt
+            faults_prev[idx] = faulting
+            next_wake[idx] = wake_at
+            level[idx] = new
+            clean_from[idx] = step - held
+            setpoint[idx] = volts
+            term[idx] = table[_power_index(volts)] * dt
+        soonest = int(next_wake.min())
+        energy += term
 
     return ShardTimeline(
         die_start=die_start,
@@ -437,7 +574,7 @@ def _reactive_shard(
         crashed_steps=crashed_steps,
         fault_steps=fault_steps,
         actuations=actuations,
-        operational=operational,
+        operational=n + np.cumsum(op_diff[:-1]),
         fault_active=fault_active_counts,
     )
 
@@ -459,8 +596,9 @@ def _stepped_shard(
     ``R+1``-step crash cycles, segment-accumulated energy.  Bit-identical
     to the event engine by construction; slower by the activity ratio.
     """
-    defaults = ReactiveBackoffPolicy()
-    backoff, probe, hold = defaults.backoff_v, defaults.probe_v, defaults.hold_steps
+    backoff, probe, hold = (
+        _REACTIVE.backoff_v, _REACTIVE.probe_v, _REACTIVE.hold_steps
+    )
     n = fleet.n_dies
     n_steps = trace.n_steps
     table = _power_table(fleet)

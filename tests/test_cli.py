@@ -238,6 +238,31 @@ class TestStoreVersionGoldens:
         golden("runtime_run_campaign_fleet16_fast", runtime_v1)
 
 
+class TestCampaignJobsIndependence:
+    """A campaign's documents depend on its spec and store, not on --jobs."""
+
+    def documents(self, capsys, tmp_path, jobs):
+        root = str(tmp_path / f"jobs{jobs}")
+        run = strip_timing(run_json(capsys, [
+            "campaign", "run", "--preset", "fleet16-fast", "--root", root,
+            "--jobs", str(jobs), "--json",
+        ]))
+        report = strip_timing(run_json(capsys, [
+            "campaign", "report", "--name", "fleet16-fast", "--root", root,
+            "--json",
+        ]))
+        # The run document echoes the requested worker count; nothing else
+        # may depend on it.
+        assert run.pop("n_workers") == run["backend"].pop("jobs") == jobs
+        run["backend"].pop("scheduler")
+        return json.dumps(run, sort_keys=True), json.dumps(report, sort_keys=True)
+
+    def test_fleet16_fast_is_identical_at_jobs_1_2_and_4(self, capsys, tmp_path):
+        serial = self.documents(capsys, tmp_path, 1)
+        for jobs in (2, 4):
+            assert self.documents(capsys, tmp_path, jobs) == serial
+
+
 class TestTimingSegregation:
     """Wall-clock values live only under ``timing``; the rest is exact."""
 
